@@ -105,11 +105,20 @@ type Broker struct {
 	// interner copies on first sight, so lookups never allocate.
 	keyBuf []byte
 
-	// scratch is the reusable accumulator fullSum folds neighbourhood
-	// counters into (honest path only); its field pointers are replaced
-	// wholesale on every call, so no ciphertext is ever shared with it
-	// beyond one evaluation.
+	// scratch is the broker-owned counter fullSum accumulates the
+	// neighbourhood into (honest path only). Every ciphertext in it —
+	// the four fields and one per stamp slot — is exclusively the
+	// broker's, which is homo's in-place contract: fullSum overwrites
+	// them on every call instead of allocating, and grows or shrinks
+	// the stamp slots to the current slot count (joins and evictions
+	// change it). Nothing in it escapes an SFE call: controllers only
+	// decrypt it, and payloads and sentSum/sentCount are built by the
+	// allocating ops.
 	scratch oblivious.Counter
+	// du, duv, diff and tmp are owned scratch ciphertexts for the Δ
+	// arithmetic of the send and output SFEs (Δ^u, Δ^uv, Δ^uv − Δ^u,
+	// an intermediate); the blinded values overwrite duv and diff.
+	du, duv, diff, tmp homo.Ciphertext
 
 	// shareEpoch is the accountant's current share-dealing epoch;
 	// inbound counters from other dealings are dropped.
@@ -383,12 +392,14 @@ func (b *Broker) paddingDance(tr Transport, c *secCandidate, next *oblivious.Cou
 func (b *Broker) encOne() *homo.Ciphertext { return b.acc.encryptedOne() }
 
 // fullSum aggregates the ⊥ counter and every inbound counter — the
-// quantity all SFE inputs are built from. The honest path folds the
-// neighbourhood into the broker's reused scratch counter (no counter
-// shells or stamp slices per evaluation); the result is only valid
-// until the next fullSum call, which every caller satisfies (SFE
-// inputs are consumed synchronously). The adversary hook may replace
-// it (detection surface) — that cold path keeps the allocating chain.
+// quantity all SFE inputs are built from. The honest path copies the ⊥
+// counter into the broker's scratch counter and accumulates each
+// inbound counter into it in place, so a scheme with the in-place
+// capability (Shamir) allocates nothing per evaluation; the result is
+// only valid until the next fullSum call, which every caller satisfies
+// (SFE inputs are consumed synchronously). The adversary hook may
+// replace it (detection surface) — that cold path keeps the
+// allocating chain.
 func (b *Broker) fullSum(c *secCandidate) *oblivious.Counter {
 	if b.adv != nil {
 		parts := map[int]*oblivious.Counter{-1: c.local}
@@ -411,14 +422,35 @@ func (b *Broker) fullSum(c *secCandidate) *oblivious.Counter {
 		return full
 	}
 	s := &b.scratch
-	s.Sum, s.Count, s.Num, s.Share = c.local.Sum, c.local.Count, c.local.Num, c.local.Share
-	s.Stamps = append(s.Stamps[:0], c.local.Stamps...)
+	if s.Sum == nil {
+		s.Sum, s.Count, s.Num, s.Share = new(homo.Ciphertext), new(homo.Ciphertext), new(homo.Ciphertext), new(homo.Ciphertext)
+	}
+	for len(s.Stamps) < len(c.local.Stamps) {
+		s.Stamps = append(s.Stamps, new(homo.Ciphertext))
+	}
+	s.Stamps = s.Stamps[:len(c.local.Stamps)]
+	homo.CopyInto(s.Sum, c.local.Sum)
+	homo.CopyInto(s.Count, c.local.Count)
+	homo.CopyInto(s.Num, c.local.Num)
+	homo.CopyInto(s.Share, c.local.Share)
+	for i, st := range c.local.Stamps {
+		homo.CopyInto(s.Stamps[i], st)
+	}
 	for _, v := range b.neighbors {
 		if e, ok := c.edges[v]; ok {
 			oblivious.AddInto(b.pub, s, e.inbound)
 		}
 	}
 	return s
+}
+
+// delta writes λD·sum − λN·count — the Majority-Rule Δ of a (sum,
+// count) pair — into the owned ciphertext dst, which may alias sum or
+// count; b.tmp holds the count term.
+func (b *Broker) delta(dst *homo.Ciphertext, c *secCandidate, sum, count *homo.Ciphertext) {
+	homo.ScalarMulInto(b.pub, &b.tmp, c.lambdaN, count)
+	homo.ScalarMulInto(b.pub, dst, c.lambdaD, sum)
+	homo.SubInto(b.pub, dst, dst, &b.tmp)
 }
 
 // sumValues aggregates only the value components (sum, count, num) of
@@ -444,6 +476,7 @@ func (b *Broker) evaluateSends(tr Transport) {
 	neighborAt := func(slot int) int { return b.acc.neighbors[slot-1] }
 	for _, c := range b.cands {
 		var full *oblivious.Counter
+		var du *homo.Ciphertext
 		for _, v := range b.neighbors {
 			e := c.edges[v]
 			link := b.links[v]
@@ -475,17 +508,20 @@ func (b *Broker) evaluateSends(tr Transport) {
 				b.transmit(tr, c, v, e, b.ctl.RefreshStamps(link.grant.NumSlots, link.grant.Slot))
 				continue
 			}
-			// Δ^uv and Δ^uv − Δ^u, blinded for the sign SFE.
-			duv := b.pub.Sub(
-				b.pub.ScalarMul(c.lambdaD, b.pub.Add(e.inbound.Sum, e.sentSum)),
-				b.pub.ScalarMul(c.lambdaN, b.pub.Add(e.inbound.Count, e.sentCount)))
-			du := b.pub.Sub(
-				b.pub.ScalarMul(c.lambdaD, full.Sum),
-				b.pub.ScalarMul(c.lambdaN, full.Count))
-			diff := b.pub.Sub(duv, du)
-			send, stamps, ok := b.ctl.SendDecision(c.sym, v, full,
-				oblivious.Blind(b.pub, duv, b.cfg.BlindBits, b.rng),
-				oblivious.Blind(b.pub, diff, b.cfg.BlindBits, b.rng),
+			if du == nil {
+				// Δ^u depends only on the candidate, not on the edge.
+				du = &b.du
+				b.delta(du, c, full.Sum, full.Count)
+			}
+			// Δ^uv and Δ^uv − Δ^u, blinded (in that draw order) for
+			// the sign SFE.
+			homo.AddInto(b.pub, &b.duv, e.inbound.Sum, e.sentSum)
+			homo.AddInto(b.pub, &b.diff, e.inbound.Count, e.sentCount)
+			b.delta(&b.duv, c, &b.duv, &b.diff)
+			homo.SubInto(b.pub, &b.diff, &b.duv, du)
+			oblivious.BlindInto(b.pub, &b.duv, &b.duv, b.cfg.BlindBits, b.rng)
+			oblivious.BlindInto(b.pub, &b.diff, &b.diff, b.cfg.BlindBits, b.rng)
+			send, stamps, ok := b.ctl.SendDecision(c.sym, v, full, &b.duv, &b.diff,
 				first, link.grant.NumSlots, link.grant.Slot, neighborAt)
 			if !ok {
 				return // violation detected; Resource will halt us
@@ -689,11 +725,9 @@ func (b *Broker) generateCandidates() {
 		}
 		c.outDirty = false
 		full := b.fullSum(c)
-		du := b.pub.Sub(
-			b.pub.ScalarMul(c.lambdaD, full.Sum),
-			b.pub.ScalarMul(c.lambdaN, full.Count))
-		correct, ok := b.ctl.OutputDecision(c.sym, full,
-			oblivious.Blind(b.pub, du, b.cfg.BlindBits, b.rng), neighborAt)
+		b.delta(&b.du, c, full.Sum, full.Count)
+		oblivious.BlindInto(b.pub, &b.du, &b.du, b.cfg.BlindBits, b.rng)
+		correct, ok := b.ctl.OutputDecision(c.sym, full, &b.du, neighborAt)
 		if !ok {
 			return
 		}
@@ -777,7 +811,6 @@ func (b *Broker) DebugAggregate(key string) (sum, count, num int64, ok bool) {
 	}
 	full := b.fullSum(c)
 	dec := b.ctl.dec
-	return dec.DecryptSigned(full.Sum).Int64(),
-		dec.DecryptSigned(full.Count).Int64(),
-		dec.DecryptSigned(full.Num).Int64(), true
+	return homo.DecryptInt64(dec, full.Sum), homo.DecryptInt64(dec, full.Count),
+		homo.DecryptInt64(dec, full.Num), true
 }

@@ -232,7 +232,7 @@ func (c *Controller) takeReport() (MaliciousReport, bool) {
 // Returns false when a violation was detected (and records the
 // report).
 func (c *Controller) verify(rule intern.Sym, full *oblivious.Counter, neighborAt func(slot int) int) bool {
-	if c.dec.DecryptSigned(full.Share).Int64() != 1 {
+	if homo.DecryptInt64(c.dec, full.Share) != 1 {
 		c.stats.Violations++
 		c.pendingReport = c.attributeShare(rule, neighborAt)
 		return false
@@ -248,7 +248,7 @@ func (c *Controller) verify(rule intern.Sym, full *oblivious.Counter, neighborAt
 		c.seen[rule] = prev
 	}
 	for slot, ct := range full.Stamps {
-		t := c.dec.DecryptSigned(ct).Int64()
+		t := homo.DecryptInt64(c.dec, ct)
 		if t < prev[slot] {
 			c.stats.Violations++
 			accused := c.id
@@ -295,7 +295,7 @@ func (c *Controller) attributeShare(rule intern.Sym, neighborAt func(int) int) *
 			if ct == nil {
 				break
 			}
-			if c.dec.DecryptSigned(ct).Int64() != want {
+			if homo.DecryptInt64(c.dec, ct) != want {
 				return &MaliciousReport{
 					Accused: neighborAt(slot), Reporter: c.id, Evidence: true,
 					Reason: fmt.Sprintf("forged share on rule %s", intern.Str(rule)),
@@ -383,8 +383,8 @@ func (c *Controller) SendDecision(rule intern.Sym, edge int, full *oblivious.Cou
 	if !c.verify(rule, full, neighborAt) {
 		return false, nil, false
 	}
-	cnt := c.dec.DecryptSigned(full.Count).Int64()
-	num := c.dec.DecryptSigned(full.Num).Int64()
+	cnt := homo.DecryptInt64(c.dec, full.Count)
+	num := homo.DecryptInt64(c.dec, full.Num)
 	key := sendGateKey{rule: rule, edge: int32(edge)}
 	g, okG := c.sendGates[key]
 	if !okG {
@@ -471,8 +471,8 @@ func (c *Controller) OutputDecision(rule intern.Sym, full *oblivious.Counter,
 	if !c.verify(rule, full, neighborAt) {
 		return false, false
 	}
-	cnt := c.dec.DecryptSigned(full.Count).Int64()
-	num := c.dec.DecryptSigned(full.Num).Int64()
+	cnt := homo.DecryptInt64(c.dec, full.Count)
+	num := homo.DecryptInt64(c.dec, full.Num)
 	g, okG := c.outGates[rule]
 	if !okG {
 		g = &gateState{}

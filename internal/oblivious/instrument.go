@@ -79,6 +79,31 @@ func (s *instrumentedScheme) ScalarMul(m int64, a *homo.Ciphertext) *homo.Cipher
 	return s.inner.ScalarMul(m, a)
 }
 
+// The in-place ops and DecryptInt64 are counted under the same op
+// labels as their allocating forms (a caller switching to them keeps
+// its metrics) and delegate through the homo helpers, so the wrapped
+// scheme's native capability is used when it has one.
+
+func (s *instrumentedScheme) AddInto(dst, a, b *homo.Ciphertext) {
+	defer s.observe(s.add, time.Now())
+	homo.AddInto(s.inner, dst, a, b)
+}
+
+func (s *instrumentedScheme) SubInto(dst, a, b *homo.Ciphertext) {
+	defer s.observe(s.sub, time.Now())
+	homo.SubInto(s.inner, dst, a, b)
+}
+
+func (s *instrumentedScheme) ScalarMulInto(dst *homo.Ciphertext, m int64, a *homo.Ciphertext) {
+	defer s.observe(s.smul, time.Now())
+	homo.ScalarMulInto(s.inner, dst, m, a)
+}
+
+func (s *instrumentedScheme) DecryptInt64(c *homo.Ciphertext) int64 {
+	defer s.observe(s.dec, time.Now())
+	return homo.DecryptInt64(s.inner, c)
+}
+
 func (s *instrumentedScheme) Rerandomize(a *homo.Ciphertext) *homo.Ciphertext {
 	defer s.observe(s.rerand, time.Now())
 	return s.inner.Rerandomize(a)
@@ -166,7 +191,9 @@ func (s *instrumentedScheme) Adopt(c *homo.Ciphertext) (*homo.Ciphertext, error)
 }
 
 var (
-	_ homo.Scheme      = (*instrumentedScheme)(nil)
-	_ homo.Adopter     = (*instrumentedScheme)(nil)
-	_ homo.BatchScheme = (*instrumentedScheme)(nil)
+	_ homo.Scheme         = (*instrumentedScheme)(nil)
+	_ homo.Adopter        = (*instrumentedScheme)(nil)
+	_ homo.BatchScheme    = (*instrumentedScheme)(nil)
+	_ homo.InPlace        = (*instrumentedScheme)(nil)
+	_ homo.Int64Decryptor = (*instrumentedScheme)(nil)
 )

@@ -6,6 +6,7 @@ import (
 
 	"secmr/internal/homo"
 	"secmr/internal/obs"
+	"secmr/internal/shamir"
 )
 
 func TestInstrumentSchemeCountsAndDelegates(t *testing.T) {
@@ -120,4 +121,49 @@ func splitLabels(s string) []string {
 		}
 	}
 	return append(out, s[start:])
+}
+
+// TestInstrumentSchemeForwardsInPlace: the decorator must keep the
+// wrapped scheme's in-place and int64-decrypt fast paths reachable —
+// otherwise every instrumented caller (secmrd runs with telemetry on)
+// silently takes the allocating fallback — and must count them under
+// the existing op labels.
+func TestInstrumentSchemeForwardsInPlace(t *testing.T) {
+	sink := obs.NewSink()
+	s := InstrumentScheme(shamir.MustNew(shamir.Params{K: 2, N: 4, W: 1}), sink)
+	ip, ok := s.(homo.InPlace)
+	if !ok {
+		t.Fatal("instrumented scheme must implement homo.InPlace")
+	}
+	di, ok := s.(homo.Int64Decryptor)
+	if !ok {
+		t.Fatal("instrumented scheme must implement homo.Int64Decryptor")
+	}
+	a, b := s.EncryptInt(5), s.EncryptInt(7)
+	dst := &homo.Ciphertext{}
+	ip.AddInto(dst, a, b)
+	if got := di.DecryptInt64(dst); got != 12 {
+		t.Fatalf("AddInto decrypts to %d, want 12", got)
+	}
+	ip.SubInto(dst, dst, a)
+	if got := di.DecryptInt64(dst); got != 7 {
+		t.Fatalf("SubInto decrypts to %d, want 7", got)
+	}
+	ip.ScalarMulInto(dst, -2, dst)
+	if got := homo.DecryptInt64(s, dst); got != -14 {
+		t.Fatalf("ScalarMulInto decrypts to %d, want -14", got)
+	}
+
+	want := map[string]float64{"add": 1, "sub": 1, "scalar_mul": 1, "decrypt": 3, "encrypt": 2}
+	got := map[string]float64{}
+	for _, p := range sink.Reg.Snapshot() {
+		if p.Name == "secmr_crypto_ops_total" {
+			got[labelValue(p.Labels, "op")] = p.Value
+		}
+	}
+	for op, n := range want {
+		if got[op] != n {
+			t.Fatalf("op %s count = %v, want %v (all: %v)", op, got[op], n, got)
+		}
+	}
 }

@@ -70,22 +70,22 @@ func Add(pub homo.Public, a, b *Counter) *Counter {
 }
 
 // AddInto accumulates b into acc componentwise in place: acc = acc+b.
-// Unlike Add it allocates no counter shell and no vec slices, so a
-// caller folding a whole neighbourhood into one reused scratch counter
-// generates no slice churn; the ciphertext objects themselves are
-// freshly produced (schemes treat ciphertexts as immutable), so acc's
-// previous field pointers — possibly shared with other counters — are
-// never mutated, only replaced.
+// Every field ciphertext of acc, stamps included, must be owned
+// exclusively by the caller — homo's in-place contract — because they
+// are overwritten through homo.AddInto: a scheme with the
+// in-place capability (Shamir) writes the sums straight into acc's
+// storage and allocates nothing; any other scheme stores fresh sums
+// into acc's ciphertext structs. b is never mutated.
 func AddInto(pub homo.Public, acc, b *Counter) {
 	if len(acc.Stamps) != len(b.Stamps) {
 		panic("oblivious: stamp slot mismatch")
 	}
-	acc.Sum = pub.Add(acc.Sum, b.Sum)
-	acc.Count = pub.Add(acc.Count, b.Count)
-	acc.Num = pub.Add(acc.Num, b.Num)
-	acc.Share = pub.Add(acc.Share, b.Share)
+	homo.AddInto(pub, acc.Sum, acc.Sum, b.Sum)
+	homo.AddInto(pub, acc.Count, acc.Count, b.Count)
+	homo.AddInto(pub, acc.Num, acc.Num, b.Num)
+	homo.AddInto(pub, acc.Share, acc.Share, b.Share)
 	for i := range acc.Stamps {
-		acc.Stamps[i] = pub.Add(acc.Stamps[i], b.Stamps[i])
+		homo.AddInto(pub, acc.Stamps[i], acc.Stamps[i], b.Stamps[i])
 	}
 }
 
@@ -144,11 +144,22 @@ func MakeShares(enc homo.Encryptor, pub homo.Public, n int, rng *rand.Rand) []*h
 // the controller decrypts and reveals only the sign. blindBits
 // controls the blinding range [1, 2^blindBits].
 func Blind(pub homo.Public, c *homo.Ciphertext, blindBits int, rng *rand.Rand) *homo.Ciphertext {
+	return pub.ScalarMul(blindFactor(blindBits, rng), c)
+}
+
+// BlindInto is Blind writing into dst, which must be exclusively owned
+// by the caller and may alias c (homo's in-place contract). It draws
+// from rng exactly as Blind does.
+func BlindInto(pub homo.Public, dst, c *homo.Ciphertext, blindBits int, rng *rand.Rand) {
+	homo.ScalarMulInto(pub, dst, blindFactor(blindBits, rng), c)
+}
+
+// blindFactor draws the blinding scalar from [1, 2^blindBits].
+func blindFactor(blindBits int, rng *rand.Rand) int64 {
 	if blindBits < 1 || blindBits > 40 {
 		panic("oblivious: blindBits out of range")
 	}
-	r := rng.Int63n(1<<blindBits) + 1
-	return pub.ScalarMul(r, c)
+	return rng.Int63n(1<<blindBits) + 1
 }
 
 // SignOf decrypts a (blinded) value and returns its sign: −1, 0, +1.

@@ -9,6 +9,7 @@ import (
 
 	"secmr/internal/homo"
 	"secmr/internal/paillier"
+	"secmr/internal/shamir"
 )
 
 var (
@@ -52,6 +53,40 @@ func TestCounterAddComponentwise(t *testing.T) {
 				t.Errorf("%s: component %d = %d want %d", name, i, got[i], want[i])
 			}
 		}
+	}
+}
+
+// TestAddIntoMatchesAdd: accumulating in place gives the same
+// plaintexts as Add on every backend, never touches the addend, and on
+// the native in-place backend (Shamir) allocates nothing.
+func TestAddIntoMatchesAdd(t *testing.T) {
+	all := schemes()
+	sh := shamir.MustNew(shamir.Params{K: 2, N: 5, W: 1})
+	all["shamir"] = sh
+	for name, s := range all {
+		mk := func(vals ...int64) *Counter {
+			c := NewZero(s, len(vals)-4)
+			for i, f := range c.vec() {
+				homo.AddInto(s, f, f, s.EncryptInt(vals[i]))
+			}
+			return c
+		}
+		acc, b := mk(3, 10, 1, 7, 5, 0), mk(4, 20, 2, -6, 0, 9)
+		b0 := b.Clone()
+		want := Add(s, acc, b)
+		AddInto(s, acc, b)
+		for i, f := range acc.vec() {
+			if got, w := homo.DecryptInt64(s, f), homo.DecryptInt64(s, want.vec()[i]); got != w {
+				t.Errorf("%s: component %d = %d want %d", name, i, got, w)
+			}
+			if !b.vec()[i].Equal(b0.vec()[i]) {
+				t.Errorf("%s: addend component %d mutated", name, i)
+			}
+		}
+	}
+	acc, b := NewZero(sh, 3), NewZero(sh, 3)
+	if n := testing.AllocsPerRun(100, func() { AddInto(sh, acc, b) }); n != 0 {
+		t.Fatalf("shamir AddInto: %v allocs/op, want 0", n)
 	}
 }
 
@@ -161,6 +196,22 @@ func TestBlindHidesMagnitude(t *testing.T) {
 	}
 	if a == 12345 && b == 12345 {
 		t.Fatal("blinding did not change magnitude")
+	}
+}
+
+// TestBlindIntoMatchesBlind: blinding in place (dst aliasing the
+// input) draws the same scalar from the same rng stream as Blind.
+func TestBlindIntoMatchesBlind(t *testing.T) {
+	for name, s := range schemes() {
+		r1, r2 := mrand.New(mrand.NewSource(5)), mrand.New(mrand.NewSource(5))
+		for _, v := range []int64{-9, 0, 31} {
+			want := s.DecryptSigned(Blind(s, s.EncryptInt(v), 16, r1))
+			c := s.EncryptInt(v)
+			BlindInto(s, c, c, 16, r2)
+			if got := s.DecryptSigned(c); got.Cmp(want) != 0 {
+				t.Errorf("%s: BlindInto(%d) = %v, Blind = %v", name, v, got, want)
+			}
+		}
 	}
 }
 

@@ -129,6 +129,7 @@ type Service struct {
 	cShedRate    *obs.Counter
 	cShedBytes   *obs.Counter
 	cPublishes   *obs.Counter
+	cStoreErrors *obs.Counter
 	hIngestBatch *obs.Histogram
 }
 
@@ -195,6 +196,7 @@ func New(cfg Config) (*Service, error) {
 		s.cShedRate = reg.Counter("service_shed_total", "Ingest batches shed by admission control.", "reason", "rate")
 		s.cShedBytes = reg.Counter("service_shed_total", "Ingest batches shed by admission control.", "reason", "inflight")
 		s.cPublishes = reg.Counter("service_publishes_total", "Rule-set publish rounds completed.")
+		s.cStoreErrors = reg.Counter("service_store_put_errors_total", "Rule-set writes the store rejected.")
 		s.hIngestBatch = reg.Histogram("service_ingest_batch_txns", "Admitted batch sizes.",
 			[]float64{1, 4, 16, 64, 256, 1024, 4096})
 		reg.GaugeFunc("service_inflight_bytes", "Queued-but-unmined transaction bytes against the budget.",
@@ -323,9 +325,13 @@ func (s *Service) publish() {
 		sort.Strings(ids)
 		for _, id := range ids {
 			// Stale epochs can't happen here (epoch is monotone and
-			// seeded from the store); real I/O errors surface in the
-			// next query's staleness, so log-by-metric only.
-			_ = s.st.Put(id, epoch, rules)
+			// seeded from the store), so a failure is a real I/O
+			// error. It is counted, not retried: the tenant's next
+			// publish carries a complete rule set again, and until
+			// then queries answer from the last stored one.
+			if err := s.st.Put(id, epoch, rules); err != nil {
+				s.cStoreErrors.Inc()
+			}
 		}
 	}
 	s.cPublishes.Inc()

@@ -3,6 +3,7 @@ package service
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"net/http"
 	"net/http/httptest"
@@ -361,4 +362,38 @@ func TestServiceRejectsBadInput(t *testing.T) {
 	if resp.StatusCode != http.StatusBadRequest {
 		t.Fatalf("bad filter: %d", resp.StatusCode)
 	}
+}
+
+// failingStore is a store whose every Put fails, as a full disk would.
+type failingStore struct{ store.Store }
+
+func (failingStore) Put(string, int64, []store.Rule) error { return errors.New("disk full") }
+
+// TestPublishCountsStoreErrors: a rule set the store refuses must not
+// vanish silently — each failed Put moves
+// service_store_put_errors_total.
+func TestPublishCountsStoreErrors(t *testing.T) {
+	cfg := testConfig(failingStore{store.NewMem()})
+	cfg.Obs = secmr.NewTelemetry()
+	s, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	for _, id := range []string{"a", "b"} {
+		if _, err := s.lookup(id); err != nil {
+			t.Fatal(err)
+		}
+	}
+	s.publish()
+	s.publish()
+	for _, p := range cfg.Obs.Registry().Snapshot() {
+		if p.Name == "service_store_put_errors_total" {
+			if p.Value != 4 {
+				t.Fatalf("service_store_put_errors_total = %v after 2 publishes × 2 tenants, want 4", p.Value)
+			}
+			return
+		}
+	}
+	t.Fatal("service_store_put_errors_total not registered")
 }

@@ -111,53 +111,61 @@ func hornerEval(coeffs []uint64, x uint64) uint64 {
 	return r
 }
 
+// word is a share-limb type: uint64 for plain share slices, or
+// big.Word (uint) for the zero-copy view of a ciphertext's limbs on
+// 64-bit platforms (scheme.go). The kernels widen every limb to uint64,
+// so they compile for 32-bit big.Word too; the scheme only hands them
+// limb views where big.Word holds a whole share.
+type word interface{ ~uint64 | ~uint }
+
 // AddSlices sets dst[i] = a[i] + b[i] mod P for every i — the batched
 // share-add kernel. All three slices must have equal length; dst may
 // alias a or b. The loop is branch-light and bounds-check-eliminated
 // so the compiler can unroll/vectorize it.
-func AddSlices(dst, a, b []uint64) {
+func AddSlices[W word](dst, a, b []W) {
 	if len(a) != len(b) || len(dst) != len(a) {
 		panic("shamir: AddSlices length mismatch")
 	}
 	for i := range dst {
-		s := a[i] + b[i]
+		s := uint64(a[i]) + uint64(b[i])
 		if s >= P {
 			s -= P
 		}
-		dst[i] = s
+		dst[i] = W(s)
 	}
 }
 
-// SubSlices sets dst[i] = a[i] − b[i] mod P for every i.
-func SubSlices(dst, a, b []uint64) {
+// SubSlices sets dst[i] = a[i] − b[i] mod P for every i; dst may alias
+// a or b.
+func SubSlices[W word](dst, a, b []W) {
 	if len(a) != len(b) || len(dst) != len(a) {
 		panic("shamir: SubSlices length mismatch")
 	}
 	for i := range dst {
-		dst[i] = fieldSub(a[i], b[i])
+		dst[i] = W(fieldSub(uint64(a[i]), uint64(b[i])))
 	}
 }
 
-// ScaleSlice sets dst[i] = m·a[i] mod P for every i.
-func ScaleSlice(dst, a []uint64, m uint64) {
+// ScaleSlice sets dst[i] = m·a[i] mod P for every i; dst may alias a.
+func ScaleSlice[W word](dst, a []W, m uint64) {
 	if len(dst) != len(a) {
 		panic("shamir: ScaleSlice length mismatch")
 	}
 	for i := range dst {
-		dst[i] = fieldMul(a[i], m)
+		dst[i] = W(fieldMul(uint64(a[i]), m))
 	}
 }
 
 // Dot returns Σ a[i]·b[i] mod P — the share-combine kernel: with a a
 // precomputed Lagrange reconstruction vector and b a share slice, Dot
 // is one secret's reconstruction.
-func Dot(a, b []uint64) uint64 {
+func Dot[W word](a []uint64, b []W) uint64 {
 	if len(a) != len(b) {
 		panic("shamir: Dot length mismatch")
 	}
 	acc := uint64(0)
 	for i := range a {
-		acc = fieldAdd(acc, fieldMul(a[i], b[i]))
+		acc = fieldAdd(acc, fieldMul(a[i], uint64(b[i])))
 	}
 	return acc
 }

@@ -117,63 +117,118 @@ func (s *Scheme) drawAux(buf []uint64) {
 	s.mu.Unlock()
 }
 
-// --- ciphertext packing -------------------------------------------------
+// --- ciphertext storage -------------------------------------------------
 
 // wordBits is the big.Word width of this platform. On 64-bit platforms
-// shares map 1:1 onto big.Int limbs and the hot paths run directly on
-// the word slices; elsewhere they fall back to the byte codec.
+// a ciphertext's limbs below the sentinel ARE its shares, and every
+// arithmetic op runs directly on those limbs (view/out); elsewhere the
+// ops fall back to the byte codec (shares/setShares).
 const wordBits = 32 << (^big.Word(0) >> 63)
 
-// newCipher wraps a share vector (ownership transfers) as a ciphertext.
-func (s *Scheme) newCipher(shares []uint64) *homo.Ciphertext {
-	n := s.geo.p.N
-	v := new(big.Int)
-	if wordBits == 64 {
-		ws := make([]big.Word, n+1)
-		for i, sh := range shares {
-			ws[i] = big.Word(sh)
-		}
-		ws[n] = 1 // sentinel limb: constant bit length 64N+1
-		v.SetBits(ws)
-	} else {
-		buf := make([]byte, 8*n+1)
-		buf[0] = 1
-		for i, sh := range shares {
-			binary.BigEndian.PutUint64(buf[len(buf)-8*(i+1):], sh)
-		}
-		v.SetBytes(buf)
-	}
-	return &homo.Ciphertext{V: v, Tag: s.tag}
+// cipherBox co-allocates a ciphertext with its big.Int header, so a
+// fresh result costs two allocations: this box and its limb slice.
+type cipherBox struct {
+	c homo.Ciphertext
+	v big.Int
 }
 
-// shares extracts the share vector of a ciphertext produced (or
-// adopted) by this scheme instance. The tag check makes cross-scheme
-// mix-ups panic exactly like the other backends.
+// fresh returns a new ciphertext of this instance holding all-zero
+// shares; every caller overwrites them.
+func (s *Scheme) fresh() *homo.Ciphertext {
+	box := new(cipherBox)
+	box.c.V = &box.v
+	s.shape(&box.c)
+	return &box.c
+}
+
+// shape makes dst a well-formed ciphertext of this instance (sentinel
+// limb set, this instance's tag). dst is caller-owned storage whose
+// prior value is irrelevant: limbs of the right shape are kept as they
+// are, anything else is replaced by all-zero shares.
+func (s *Scheme) shape(dst *homo.Ciphertext) {
+	limbs := s.geo.p.N*64/wordBits + 1
+	if dst.V == nil {
+		dst.V = new(big.Int)
+	}
+	if ws := dst.V.Bits(); dst.Tag == s.tag && len(ws) == limbs && ws[limbs-1] == 1 {
+		return
+	}
+	ws := make([]big.Word, limbs)
+	ws[limbs-1] = 1 // sentinel: constant bit length 64N+1
+	dst.V.SetBits(ws)
+	dst.Tag = s.tag
+}
+
+// view returns the shares of a ciphertext produced (or adopted) by this
+// instance without copying: its limbs below the sentinel (64-bit
+// platforms only). The slice aliases c and is read-only to callers that
+// do not own c. The tag check makes cross-scheme mix-ups panic exactly
+// like the other backends; the length and sentinel check re-asserts
+// Adopt's shape invariant in O(1).
+func (s *Scheme) view(c *homo.Ciphertext) []big.Word {
+	if c.Tag != s.tag {
+		panic("shamir: ciphertext from a different scheme instance")
+	}
+	n := s.geo.p.N
+	ws := c.V.Bits()
+	if len(ws) != n+1 || ws[n] != 1 {
+		panic("shamir: corrupted share vector")
+	}
+	return ws[:n:n]
+}
+
+// out returns the writable share limbs of a caller-owned destination
+// (64-bit platforms only), shaping it first.
+func (s *Scheme) out(dst *homo.Ciphertext) []big.Word {
+	s.shape(dst)
+	return dst.V.Bits()[:s.geo.p.N]
+}
+
+// shares decodes a copy of c's share vector through the byte codec —
+// the path for platforms whose big.Word is narrower than a share.
 func (s *Scheme) shares(c *homo.Ciphertext) []uint64 {
 	if c.Tag != s.tag {
 		panic("shamir: ciphertext from a different scheme instance")
 	}
 	n := s.geo.p.N
+	if c.V.BitLen() != 64*n+1 {
+		panic("shamir: corrupted share vector")
+	}
+	buf := make([]byte, 8*n+1)
+	c.V.FillBytes(buf)
 	out := make([]uint64, n)
-	if wordBits == 64 {
-		ws := c.V.Bits()
-		if len(ws) != n+1 || ws[n] != 1 {
-			panic("shamir: corrupted share vector")
-		}
-		for i := range out {
-			out[i] = uint64(ws[i])
-		}
-	} else {
-		buf := make([]byte, 8*n+1)
-		c.V.FillBytes(buf)
-		if buf[0] != 1 {
-			panic("shamir: corrupted share vector")
-		}
-		for i := range out {
-			out[i] = binary.BigEndian.Uint64(buf[len(buf)-8*(i+1):])
-		}
+	for i := range out {
+		out[i] = binary.BigEndian.Uint64(buf[len(buf)-8*(i+1):])
 	}
 	return out
+}
+
+// setShares stores a share vector into a caller-owned destination.
+func (s *Scheme) setShares(dst *homo.Ciphertext, sh []uint64) {
+	if wordBits == 64 {
+		ws := s.out(dst)
+		for i, v := range sh {
+			ws[i] = big.Word(v)
+		}
+		return
+	}
+	buf := make([]byte, 8*len(sh)+1)
+	buf[0] = 1
+	for i, v := range sh {
+		binary.BigEndian.PutUint64(buf[len(buf)-8*(i+1):], v)
+	}
+	if dst.V == nil {
+		dst.V = new(big.Int)
+	}
+	dst.V.SetBytes(buf)
+	dst.Tag = s.tag
+}
+
+// newCipher wraps a share vector (copied) as a fresh ciphertext.
+func (s *Scheme) newCipher(sh []uint64) *homo.Ciphertext {
+	c := s.fresh()
+	s.setShares(c, sh)
+	return c
 }
 
 // --- Encryptor ----------------------------------------------------------
@@ -203,52 +258,108 @@ func (s *Scheme) EncryptZero() *homo.Ciphertext { return s.encryptResidue(0) }
 
 // --- Decryptor ----------------------------------------------------------
 
-// Decrypt reconstructs the plaintext in [0, P) from the first T shares
-// — a single precomputed-Lagrange dot product.
+// residue reconstructs the plaintext in [0, P) from the first T shares
+// — a single precomputed-Lagrange dot product, straight off the limbs.
+func (s *Scheme) residue(c *homo.Ciphertext) uint64 {
+	if wordBits == 64 {
+		return reconstructSlot(s.geo, s.view(c), 0)
+	}
+	return s.geo.ReconstructSlot(s.shares(c), 0)
+}
+
+// Decrypt reconstructs the plaintext in [0, P).
 func (s *Scheme) Decrypt(c *homo.Ciphertext) *big.Int {
-	return new(big.Int).SetUint64(s.geo.ReconstructSlot(s.shares(c), 0))
+	return new(big.Int).SetUint64(s.residue(c))
 }
 
 // DecryptSigned reconstructs the plaintext decoded into (−P/2, P/2].
 func (s *Scheme) DecryptSigned(c *homo.Ciphertext) *big.Int {
-	return homo.DecodeSigned(s.Decrypt(c), pBig)
+	return big.NewInt(s.DecryptInt64(c))
+}
+
+// DecryptInt64 is DecryptSigned without the big.Int: every residue of
+// GF(2^61−1) decodes into int64, so it never truncates.
+func (s *Scheme) DecryptInt64(c *homo.Ciphertext) int64 {
+	v := s.residue(c)
+	if v > P/2 {
+		return int64(v) - int64(P)
+	}
+	return int64(v)
 }
 
 // --- Public (homomorphic arithmetic) ------------------------------------
 
-// Add returns the componentwise share sum — an encryption of the
-// plaintext sum, by linearity of interpolation.
-func (s *Scheme) Add(a, b *homo.Ciphertext) *homo.Ciphertext {
+// The allocating ops are a fresh ciphertext plus the in-place op; the
+// in-place ops (homo.InPlace) write the componentwise result straight
+// into dst's limbs, which may alias a or b.
+
+// AddInto sets dst to the componentwise share sum — an encryption of
+// the plaintext sum, by linearity of interpolation.
+func (s *Scheme) AddInto(dst, a, b *homo.Ciphertext) {
+	if wordBits == 64 {
+		va, vb := s.view(a), s.view(b)
+		AddSlices(s.out(dst), va, vb)
+		return
+	}
 	sa, sb := s.shares(a), s.shares(b)
 	AddSlices(sa, sa, sb)
-	return s.newCipher(sa)
+	s.setShares(dst, sa)
+}
+
+// SubInto sets dst to the componentwise share difference.
+func (s *Scheme) SubInto(dst, a, b *homo.Ciphertext) {
+	if wordBits == 64 {
+		va, vb := s.view(a), s.view(b)
+		SubSlices(s.out(dst), va, vb)
+		return
+	}
+	sa, sb := s.shares(a), s.shares(b)
+	SubSlices(sa, sa, sb)
+	s.setShares(dst, sa)
+}
+
+// ScalarMulInto sets dst to m·a sharewise; m may be negative.
+func (s *Scheme) ScalarMulInto(dst *homo.Ciphertext, m int64, a *homo.Ciphertext) {
+	if wordBits == 64 {
+		va := s.view(a)
+		ScaleSlice(s.out(dst), va, fieldEncodeInt64(m))
+		return
+	}
+	sa := s.shares(a)
+	ScaleSlice(sa, sa, fieldEncodeInt64(m))
+	s.setShares(dst, sa)
+}
+
+// Add returns the componentwise share sum.
+func (s *Scheme) Add(a, b *homo.Ciphertext) *homo.Ciphertext {
+	c := s.fresh()
+	s.AddInto(c, a, b)
+	return c
 }
 
 // Sub returns the componentwise share difference.
 func (s *Scheme) Sub(a, b *homo.Ciphertext) *homo.Ciphertext {
-	sa, sb := s.shares(a), s.shares(b)
-	SubSlices(sa, sa, sb)
-	return s.newCipher(sa)
+	c := s.fresh()
+	s.SubInto(c, a, b)
+	return c
 }
 
 // ScalarMul returns m·x sharewise; m may be negative.
 func (s *Scheme) ScalarMul(m int64, a *homo.Ciphertext) *homo.Ciphertext {
-	sa := s.shares(a)
-	ScaleSlice(sa, sa, fieldEncodeInt64(m))
-	return s.newCipher(sa)
+	c := s.fresh()
+	s.ScalarMulInto(c, m, a)
+	return c
 }
 
 // Rerandomize adds a fresh sharing of zero: the plaintext (every
 // packed slot) is preserved while every share changes uniformly, so
 // the recipient cannot tell whether the underlying counter moved.
 func (s *Scheme) Rerandomize(a *homo.Ciphertext) *homo.Ciphertext {
-	sa := s.shares(a)
-	zero := make([]uint64, s.geo.p.W)
 	aux := make([]uint64, s.geo.p.K-1)
 	s.drawAux(aux)
-	z := s.geo.Deal(zero, aux)
-	AddSlices(sa, sa, z)
-	return s.newCipher(sa)
+	c := s.newCipher(s.geo.Deal(make([]uint64, s.geo.p.W), aux))
+	s.AddInto(c, c, a)
+	return c
 }
 
 // --- batch capability ---------------------------------------------------
@@ -294,10 +405,9 @@ func (s *Scheme) RerandomizeVec(xs []*homo.Ciphertext) []*homo.Ciphertext {
 	z := make([]uint64, p.N)
 	out := make([]*homo.Ciphertext, len(xs))
 	for i, x := range xs {
-		sx := s.shares(x)
 		s.geo.DealInto(z, zero, aux[i*(p.K-1):(i+1)*(p.K-1)])
-		AddSlices(sx, sx, z)
-		out[i] = s.newCipher(sx)
+		out[i] = s.newCipher(z)
+		s.AddInto(out[i], out[i], x)
 	}
 	return out
 }
@@ -308,10 +418,10 @@ func (s *Scheme) EncryptVec(ms []*big.Int) []*homo.Ciphertext {
 	aux := make([]uint64, len(ms)*(p.K-1))
 	s.drawAux(aux)
 	secrets := make([]uint64, p.W)
+	sh := make([]uint64, p.N)
 	out := make([]*homo.Ciphertext, len(ms))
 	for i, m := range ms {
 		secrets[0] = homo.EncodeMod(m, pBig).Uint64()
-		sh := make([]uint64, p.N)
 		s.geo.DealInto(sh, secrets, aux[i*(p.K-1):(i+1)*(p.K-1)])
 		out[i] = s.newCipher(sh)
 	}
@@ -324,9 +434,9 @@ func (s *Scheme) EncryptZeroVec(n int) []*homo.Ciphertext {
 	aux := make([]uint64, n*(p.K-1))
 	s.drawAux(aux)
 	zero := make([]uint64, p.W)
+	sh := make([]uint64, p.N)
 	out := make([]*homo.Ciphertext, n)
 	for i := range out {
-		sh := make([]uint64, p.N)
 		s.geo.DealInto(sh, zero, aux[i*(p.K-1):(i+1)*(p.K-1)])
 		out[i] = s.newCipher(sh)
 	}
@@ -378,4 +488,6 @@ var (
 	_ homo.BatchScheme    = (*Scheme)(nil)
 	_ homo.Adopter        = (*Scheme)(nil)
 	_ homo.WireCiphertext = (*Scheme)(nil)
+	_ homo.InPlace        = (*Scheme)(nil)
+	_ homo.Int64Decryptor = (*Scheme)(nil)
 )

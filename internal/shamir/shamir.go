@@ -205,6 +205,12 @@ func (g *Geometry) ReconstructInto(out, shares []uint64) {
 // ReconstructSlot recovers one packed slot from a full share vector —
 // the single-dot-product decrypt path.
 func (g *Geometry) ReconstructSlot(shares []uint64, slot int) uint64 {
+	return reconstructSlot(g, shares, slot)
+}
+
+// reconstructSlot is ReconstructSlot over any limb type, so Decrypt
+// can reconstruct straight from a ciphertext's limb view.
+func reconstructSlot[W word](g *Geometry, shares []W, slot int) uint64 {
 	T := g.p.Threshold()
 	if len(shares) < T {
 		panic(fmt.Sprintf("shamir: %d shares cannot reconstruct (threshold %d)", len(shares), T))
